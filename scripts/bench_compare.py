@@ -1,26 +1,23 @@
 #!/usr/bin/env python3
 """Compare a fresh BENCH_hotpath.json against the committed baseline.
 
-Rows are matched by (topology, routing, load, mode, lanes, shards,
-window) — older artifacts without the batched-co-simulation,
-space-sharding, or closed-loop columns default to load 0.1, mode
-"unbatched", lanes 1, shards 1, window "-". Closed-loop rows (mode
-"closed-loop") carry a window depth instead of a load.
-The guarded metric is cycles_per_sec (aggregate lane-cycles/sec on
-batched rows); a per_lane_throughput column shows each row's per-lane
-rate so batched rows can be read against their unbatched reference at
-a glance.
+Rows are matched by (topology, routing, load, mode, shards, window)
+— older artifacts without the space-sharding or closed-loop columns
+default to load 0.1, mode "serial", shards 1, window "-". Artifacts
+that name the serial rows "unbatched" match them as "serial", and
+their lane-batched rows (mode "batched", retired) are skipped.
+Closed-loop rows (mode "closed-loop") carry a window depth instead of
+a load. The guarded metric is cycles_per_sec.
 
-Only unbatched rows are gated: a row regresses when
+Only serial rows are gated: a row regresses when
 
     fresh < baseline * (1 - threshold)
 
 with threshold 30% by default — wide enough that genuine optimizations
 and deoptimizations dominate run-to-run noise on a quiet machine.
-Batched and sharded rows are reported (and their deltas printed) but
-never fail the gate: lane-count and shard-count scaling are
-machine-shape-dependent in a way the single-network serial rows are
-not. Shared CI runners sit inside a jitter band wider than the gate,
+Sharded and closed-loop rows are reported (and their deltas printed)
+but never fail the gate: shard-count scaling is machine-shape-dependent
+in a way the single-network serial rows are not. Shared CI runners sit inside a jitter band wider than the gate,
 so CI invokes this with --warn-only: the delta table is still printed
 and uploaded as an artifact, but regressions exit 0.
 
@@ -38,12 +35,12 @@ import sys
 
 
 def row_key(row):
-    """Identity of a bench row; defaults cover pre-batching,
-    pre-sharding, and pre-closed-loop artifacts."""
+    """Identity of a bench row; defaults cover pre-sharding and
+    pre-closed-loop artifacts."""
+    mode = str(row.get("mode", "serial"))
     return (str(row.get("topology")), str(row.get("routing")),
             str(row.get("load", "0.1")),
-            str(row.get("mode", "unbatched")),
-            str(row.get("lanes", "1")),
+            "serial" if mode == "unbatched" else mode,
             str(row.get("shards", "1")),
             str(row.get("window", "-")))
 
@@ -55,6 +52,8 @@ def load_rows(path, metric):
     rows = {}
     for table in doc:
         for row in table.get("rows", []):
+            if row.get("mode") == "batched":
+                continue
             key = row_key(row)
             # A silently-defaulted metric would make every comparison
             # 0.0 vs 0.0 and neuter the gate; schema drift must fail.
@@ -65,13 +64,6 @@ def load_rows(path, metric):
     if not rows:
         raise ValueError(f"{path}: no benchmark rows found")
     return rows
-
-
-def per_lane(row, metric):
-    """Per-lane rate: the dedicated column when present, else the
-    metric itself (unbatched rows and pre-batching artifacts)."""
-    return float(row.get("per_lane_cycles_per_sec",
-                         row.get(metric, 0.0)))
 
 
 def main():
@@ -97,26 +89,24 @@ def main():
 
     lines = []
     header = (f"{'topology':<14} {'routing':<10} {'load':<6} "
-              f"{'mode':<11} {'lanes':<5} {'shards':<6} {'window':<6} "
-              f"{'baseline':>10} "
-              f"{'fresh':>10} {'delta':>8} {'per_lane_throughput':>20}"
-              f"  verdict")
+              f"{'mode':<11} {'shards':<6} {'window':<6} "
+              f"{'baseline':>10} {'fresh':>10} {'delta':>8}  verdict")
     lines.append(header)
     lines.append("-" * len(header))
 
     regressions = []
     for key in sorted(base):
-        topo, routing, load, mode, lanes, shards, window = key
-        gated = mode == "unbatched"
+        topo, routing, load, mode, shards, window = key
+        gated = mode == "serial"
         b = float(base[key].get(args.metric, 0.0))
         row = fresh.get(key)
         if row is None:
             verdict = ("REGRESSED (row gone)" if gated
                        else f"{mode} row gone (not gated)")
             lines.append(f"{topo:<14} {routing:<10} {load:<6} "
-                         f"{mode:<11} {lanes:<5} {shards:<6} "
-                         f"{window:<6} {b:>10.0f} "
-                         f"{'missing':>10} {'':>8} {'':>20}  {verdict}")
+                         f"{mode:<11} {shards:<6} {window:<6} "
+                         f"{b:>10.0f} {'missing':>10} {'':>8}  "
+                         f"{verdict}")
             if gated:
                 regressions.append(key)
             continue
@@ -132,19 +122,15 @@ def main():
         else:
             verdict = "ok (within band)"
         lines.append(f"{topo:<14} {routing:<10} {load:<6} {mode:<11} "
-                     f"{lanes:<5} {shards:<6} {window:<6} "
-                     f"{b:>10.0f} {f:>10.0f} {delta:>+7.1%} "
-                     f"{per_lane(row, args.metric):>20.0f}  {verdict}")
+                     f"{shards:<6} {window:<6} "
+                     f"{b:>10.0f} {f:>10.0f} {delta:>+7.1%}  {verdict}")
 
     for key in sorted(set(fresh) - set(base)):
         lines.append(f"{key[0]:<14} {key[1]:<10} {key[2]:<6} "
-                     f"{key[3]:<11} {key[4]:<5} {key[5]:<6} "
-                     f"{key[6]:<6} "
+                     f"{key[3]:<11} {key[4]:<6} {key[5]:<6} "
                      f"{'new':>10} "
                      f"{float(fresh[key].get(args.metric, 0.0)):>10.0f} "
-                     f"{'':>8} "
-                     f"{per_lane(fresh[key], args.metric):>20.0f}"
-                     f"  new row")
+                     f"{'':>8}  new row")
 
     report = "\n".join(lines)
     print(report)
@@ -153,7 +139,7 @@ def main():
             f.write(report + "\n")
 
     if regressions:
-        msg = (f"bench_compare: {len(regressions)} unbatched row(s) "
+        msg = (f"bench_compare: {len(regressions)} serial row(s) "
                f"regressed more than {args.threshold:.0%} on "
                f"{args.metric}")
         print(msg, file=sys.stderr)

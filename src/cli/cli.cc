@@ -535,6 +535,10 @@ int
 runCli(const std::vector<std::string> &args, std::ostream &out,
        std::ostream &err)
 {
+    for (const std::string &name : undeclaredEnvKnobs())
+        err << "warning: " << name
+            << " is set but is not a snoc knob; it has no effect "
+               "(see `snoc list knobs`)\n";
     if (args.empty())
         return usage(err);
     const std::string &cmd = args[0];

@@ -14,8 +14,10 @@
  * `run` executes the plan on the ExperimentRunner, renders the
  * generic plan report (table/csv/json) to stdout, and writes a
  * machine-readable run manifest (version, seeds, knob values) for
- * reproducibility. The entry point is a library function so tests
- * drive the CLI in-process.
+ * reproducibility. A set SNOC_* variable that no knob declares
+ * (a retired or misspelled knob) draws one stderr warning per
+ * variable; stdout is unaffected. The entry point is a library
+ * function so tests drive the CLI in-process.
  */
 
 #ifndef SNOC_CLI_CLI_HH

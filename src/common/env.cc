@@ -1,6 +1,10 @@
 #include "common/env.hh"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/log.hh"
 
@@ -20,17 +24,11 @@ envKnobs()
         {kEnvBenchOut, ".", "directory path",
          "where perf-mode benches write BENCH_*.json artifacts and "
          "`snoc run` writes its default run manifest"},
-        {kEnvExpBatch, "8", "off, 0, 1, or lane count 2-64",
-         "same-topology co-simulation in the experiment engine: "
-         "compatible plan jobs share one batched router sweep "
-         "(results stay bitwise identical to unbatched runs); "
-         "off or 0 disables, 1 enables the default 8 lanes, 2-64 "
-         "caps lanes per batch (RunnerOptions::batchLanes overrides)"},
         {kEnvExpIsolate, "off", "off, fork",
          "process-isolated scenario execution: each evaluation runs "
          "in a forked child and returns its result over a pipe, so a "
          "crash or sanitizer abort is contained to one failed row "
-         "(disables lane batching; RunnerOptions::isolate overrides)"},
+         "(RunnerOptions::isolate overrides)"},
         {kEnvExpJobTimeout, "0 (no timeout)",
          "wall-clock seconds",
          "per-scenario watchdog: an evaluation exceeding the budget "
@@ -70,8 +68,7 @@ envKnobs()
          "space-sharded cycle loop: step each big-topology synthetic "
          "simulation with N threads (bitwise identical to serial; "
          "see sim/shard.hh); off/0/1 keeps the serial loop, 2-64 "
-         "sets the shard count and disables lane batching "
-         "(RunnerOptions::simShards overrides)"},
+         "sets the shard count (RunnerOptions::simShards overrides)"},
     };
     return kKnobs;
 }
@@ -92,6 +89,26 @@ rawDeclared(const char *name)
 }
 
 } // namespace
+
+std::vector<std::string>
+undeclaredEnvKnobs()
+{
+    std::vector<std::string> out;
+    for (char **e = environ; e && *e; ++e) {
+        const char *eq = std::strchr(*e, '=');
+        std::string name(*e, eq ? static_cast<std::size_t>(eq - *e)
+                                : std::strlen(*e));
+        if (name.rfind("SNOC_", 0) != 0)
+            continue;
+        bool declared = false;
+        for (const EnvKnob &k : envKnobs())
+            declared = declared || name == k.name;
+        if (!declared)
+            out.push_back(std::move(name));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
 
 std::string
 envRaw(const char *name)

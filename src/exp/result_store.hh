@@ -17,7 +17,7 @@
  * recompiles of the same commit but never serves rows across code
  * changes; `snoc cache prune` evicts rows whose stamp went stale.
  *
- * Execution knobs (threads, batch lanes, shards) are deliberately
+ * Execution knobs (threads, shards) are deliberately
  * NOT part of the key: the engine's determinism contract makes
  * results bitwise identical across execution modes, so a row cached
  * by a sharded run is exactly the row a serial run would produce —

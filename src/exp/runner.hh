@@ -68,31 +68,13 @@ struct RunnerOptions
     std::function<void(std::size_t, std::size_t)> progress;
 
     /**
-     * Same-topology co-simulation (src/sim/batch.hh): compatible
-     * synthetic-traffic evaluation points — Single jobs and the
-     * points of non-stopping Sweeps that share (topology, router
-     * config, link, routing mode) — run as lanes of one
-     * BatchedNetwork instead of N sequential Networks. Results are
-     * bitwise identical either way; this is purely an execution
-     * knob, like `threads`. Saturation searches, saturation-stopping
-     * sweeps, and workload traffic always run unbatched.
-     *
-     * -1 resolves SNOC_EXP_BATCH (unset = 8 lanes; "off"/"0"
-     * disables; 2-64 caps). 0 or 1 disables batching; >= 2 caps the
-     * lanes per batch directly.
-     */
-    int batchLanes = -1;
-
-    /**
      * Space-sharded cycle loop (src/sim/shard.hh): step each
      * synthetic-traffic simulation with N threads over a partition
      * of its router graph. Results are bitwise identical to serial;
-     * like `threads` and `batchLanes` this is purely an execution
-     * knob. Sharding targets one *big* topology where batching
-     * targets many small scenarios, so shards >= 2 disables lane
-     * batching, and the worker pool is divided by the shard count so
-     * a plan claims ~`threads` cores in total. Workload traffic
-     * (internally stepped reply loops) always runs serial.
+     * like `threads` this is purely an execution knob. The worker
+     * pool is divided by the shard count so a plan claims
+     * ~`threads` cores in total. Workload traffic (internally
+     * stepped reply loops) always runs serial.
      *
      * -1 resolves SNOC_SIM_SHARDS (unset/"off"/"0"/"1" = serial;
      * 2-64 sets the shard count). 0 or 1 keeps the serial loop;
@@ -132,8 +114,6 @@ struct RunnerOptions
      * child, results returned over a pipe, so a crash (segfault,
      * abort, OOM kill) is contained to one failed row. -1 resolves
      * SNOC_EXP_ISOLATE ("fork"/"1" enables); 0 in-process; 1 fork.
-     * Isolation disables lane batching (children run one scenario
-     * each, serially).
      */
     int isolate = -1;
 
@@ -160,7 +140,7 @@ struct RunnerOptions
  * counters (zeroed/invalid when the scenario's energy spec is
  * disabled). Pure function of its arguments — the runner applies it
  * to every result after execution, so energy values cannot depend on
- * the execution mode (serial / batched / sharded).
+ * the execution mode (serial / sharded).
  */
 EnergyMetrics evaluateEnergy(const Scenario &s, const SimResult &r);
 
@@ -190,9 +170,6 @@ class ExperimentRunner
     /** The resolved worker count run() will use. */
     int threadCount() const { return threads_; }
 
-    /** The resolved lanes-per-batch cap (0 = batching disabled). */
-    int batchLaneCount() const { return batchLanes_; }
-
     /** The resolved per-simulation shard count (1 = serial loop). */
     int simShardCount() const { return simShards_; }
 
@@ -207,7 +184,6 @@ class ExperimentRunner
 
   private:
     int threads_;
-    int batchLanes_;
     int simShards_;
     bool isolate_;
     long timeoutMs_;
@@ -217,9 +193,6 @@ class ExperimentRunner
     JobResult runJob(const Job &job) const;
     ScenarioResult evalScenario(const Scenario &s,
                                 JobResult &stats) const;
-    void runBatched(const ExperimentPlan &plan,
-                    const std::vector<bool> &done,
-                    std::vector<JobResult> &results) const;
 };
 
 } // namespace snoc

@@ -195,8 +195,8 @@ Scenario makeCollectiveScenario(const std::string &topology,
  * scenarios sweep the offered load; closed-loop scenarios sweep the
  * axis named by closedLoop.sweepAxis (issue probability, clamped to
  * [0, 1], or window depth, rounded to an integer >= 1). The single
- * shared mapping keeps runJob's evaluation, the recorded sweep rows
- * and the batched fast path in exact agreement.
+ * shared mapping keeps runJob's evaluation and the recorded sweep
+ * rows in exact agreement.
  */
 void applySweepValue(Scenario &s, double x);
 

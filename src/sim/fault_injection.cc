@@ -660,6 +660,8 @@ Network::auditInvariants(std::string &err) const
             }
         }
     }
+    if (wheelValid_ && !auditWheel(err))
+        return false;
     err.clear();
     return true;
 }

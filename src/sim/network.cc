@@ -1,11 +1,30 @@
 #include "sim/network.hh"
 
 #include <algorithm>
+#include <bit>
+#include <sstream>
 
 #include "common/log.hh"
-#include "sim/batch.hh"
 
 namespace snoc {
+
+namespace {
+
+/** Call fn(index) for every set bit of a bitset, ascending. */
+template <typename Fn>
+inline void
+forEachBit(const std::vector<std::uint64_t> &bits, Fn &&fn)
+{
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+        std::uint64_t word = bits[w];
+        while (word) {
+            fn(static_cast<int>(w << 6) + std::countr_zero(word));
+            word &= word - 1;
+        }
+    }
+}
+
+} // namespace
 
 Network::Network(const NocTopology &topo, const RouterConfig &router,
                  const LinkConfig &link, RoutingMode mode,
@@ -17,18 +36,6 @@ Network::Network(const NocTopology &topo, const RouterConfig &router,
     build(seed, mode, faults);
 }
 
-Network::Network(std::shared_ptr<const NocTopology> topo,
-                 const RouterConfig &router, const LinkConfig &link,
-                 RoutingMode mode, std::uint64_t seed,
-                 const FaultPlan &faults,
-                 std::shared_ptr<const ShortestPaths> sharedPaths)
-    : topo_(std::move(topo)), routerCfg_(router), linkCfg_(link)
-{
-    SNOC_ASSERT(topo_ != nullptr, "null shared topology");
-    SNOC_ASSERT(linkCfg_.hopsPerCycle >= 1, "H must be >= 1");
-    build(seed, mode, faults, std::move(sharedPaths));
-}
-
 int
 Network::linkLatencyFor(int distance) const
 {
@@ -38,13 +45,10 @@ Network::linkLatencyFor(int distance) const
 
 void
 Network::build(std::uint64_t seed, RoutingMode mode,
-               const FaultPlan &faults,
-               std::shared_ptr<const ShortestPaths> sharedPaths)
+               const FaultPlan &faults)
 {
     routing_ = makeRouting(*topo_, mode, seed, faults.active());
-    paths_ = sharedPaths
-                 ? std::move(sharedPaths)
-                 : std::make_shared<const ShortestPaths>(topo_->routers());
+    paths_ = std::make_shared<const ShortestPaths>(topo_->routers());
 
     const Graph &g = topo_->routers();
     routers_.reserve(static_cast<std::size_t>(g.numVertices()));
@@ -59,12 +63,14 @@ Network::build(std::uint64_t seed, RoutingMode mode,
     // channelTo[u][k]: channel from u along its k-th adjacency entry.
     std::vector<std::vector<FlitChannel *>> channelTo(
         static_cast<std::size_t>(g.numVertices()));
+    int maxLatency = 1;
     for (int u = 0; u < g.numVertices(); ++u) {
         const auto &nb = g.neighbors(u);
         channelTo[static_cast<std::size_t>(u)].resize(nb.size());
         for (std::size_t k = 0; k < nb.size(); ++k) {
             int lat = linkLatencyFor(
                 topo_->placement().distance(u, nb[k]));
+            maxLatency = std::max(maxLatency, lat);
             channels_.push_back(std::make_unique<FlitChannel>(lat));
             channelTo[static_cast<std::size_t>(u)][k] =
                 channels_.back().get();
@@ -122,11 +128,32 @@ Network::build(std::uint64_t seed, RoutingMode mode,
 
     deliveredScratch_.reserve(
         static_cast<std::size_t>(topo_->numNodes()));
-    routerActive_.resize(routers_.size());
-    activeScratch_.reserve(static_cast<std::size_t>(g.numVertices()));
+    buildWheel(maxLatency);
 
     if (faults.active())
         armFaults(faults);
+}
+
+void
+Network::buildWheel(int maxLatency)
+{
+    const std::size_t numRouters = routers_.size();
+    routerWords_ = static_cast<int>((numRouters + 63) / 64);
+
+    // The wheel must cover the farthest-future wake a visit can
+    // schedule: flits land at now + latency + (pipelineCycles - 1),
+    // credits at now + latency. One extra slot keeps the current
+    // cycle's slot (written by the fault resync) alias-free.
+    unsigned horizon = static_cast<unsigned>(
+        maxLatency + std::max(routerCfg_.pipelineCycles, 1) + 1);
+    wheelMask_ = static_cast<Cycle>(std::bit_ceil(horizon)) - 1;
+
+    std::size_t words = static_cast<std::size_t>(routerWords_);
+    queued_.assign(words, 0);
+    visit_.assign(words, 0);
+    wheel_.assign(static_cast<std::size_t>(wheelMask_ + 1) * words, 0);
+    srcPending_.assign(
+        (static_cast<std::size_t>(topo_->numNodes()) + 63) / 64, 0);
 }
 
 void
@@ -187,8 +214,8 @@ Network::offerPacket(int srcNode, int dstNode, int sizeFlits,
     pkt.tag = tag;
     routing_->onInject(pkt, *this);
     sourceQueues_[static_cast<std::size_t>(srcNode)].push_back(h);
-    if (batchObs_)
-        batchObs_->noteOffer(batchLane_, srcNode);
+    srcPending_[static_cast<std::size_t>(srcNode >> 6)] |=
+        std::uint64_t{1} << (srcNode & 63);
 }
 
 int
@@ -228,36 +255,70 @@ Network::pumpNode(int node, SimCounters &counters)
 void
 Network::pumpInjection()
 {
-    for (int node = 0; node < topo_->numNodes(); ++node)
-        pumpNode(node, *counters_);
+    // forEachBit walks a copy of each word, so clearing drained
+    // nodes' bits inside the loop is safe.
+    forEachBit(srcPending_, [this](int node) {
+        if (pumpNode(node, *counters_) > 0) {
+            int r = topo_->routerOfNode(node);
+            queued_[static_cast<std::size_t>(r >> 6)] |=
+                std::uint64_t{1} << (r & 63);
+        }
+        if (sourceQueues_[static_cast<std::size_t>(node)].empty())
+            srcPending_[static_cast<std::size_t>(node >> 6)] &=
+                ~(std::uint64_t{1} << (node & 63));
+    });
+}
+
+std::size_t
+Network::wheelSlot(Cycle at) const
+{
+    return static_cast<std::size_t>(at & wheelMask_) *
+           static_cast<std::size_t>(routerWords_);
 }
 
 void
-Network::buildWorklist()
+Network::scheduleWake(int router, Cycle at)
 {
-    // A router must run this cycle iff it has buffered flits (inputs,
-    // central buffer, or ejection queues — fresh injections included)
-    // or traffic parked on an incident channel (arriving flits or
-    // returning credits, whether or not they arrive this cycle).
-    // Everything else is provably a no-op: routeHeads and the
-    // allocators touch only buffered flits, and the rotating
-    // arbitration pointers are derived from `now`, not mutated state.
-    activeScratch_.clear();
-    int n = static_cast<int>(routers_.size());
-    for (int r = 0; r < n; ++r)
-        routerActive_[static_cast<std::size_t>(r)] =
-            routers_[static_cast<std::size_t>(r)]->bufferedFlits() > 0;
-    for (std::size_t c = 0; c < channels_.size(); ++c) {
-        if (channels_[c]->flitsInFlight() > 0)
-            routerActive_[static_cast<std::size_t>(
-                chanFlitSink_[c])] = true;
-        if (channels_[c]->creditsInFlight() > 0)
-            routerActive_[static_cast<std::size_t>(
-                chanCreditSink_[c])] = true;
-    }
-    for (int r = 0; r < n; ++r)
-        if (routerActive_[static_cast<std::size_t>(r)])
-            activeScratch_.push_back(r);
+    // Wakes land in (now, now + slots) from the post-visit rescan;
+    // the fault resync may also write the current cycle's slot, which
+    // is legal there because it runs before the visit set is read.
+    // The wheel is sized so no wake reaches past its horizon (the
+    // audit checks that).
+    Cycle eff = at > now_ ? at : now_;
+    wheel_[wheelSlot(eff) + static_cast<std::size_t>(router >> 6)] |=
+        std::uint64_t{1} << (router & 63);
+}
+
+void
+Network::wakeFronts(const FlitChannel &ch, int flitSink, int creditSink)
+{
+    if (ch.flitsInFlight() > 0)
+        scheduleWake(flitSink, ch.frontFlitArrival());
+    if (ch.creditsInFlight() > 0)
+        scheduleWake(creditSink, ch.frontCreditArrival());
+}
+
+void
+Network::wakeAllFronts()
+{
+    for (std::size_t c = 0; c < channels_.size(); ++c)
+        wakeFronts(*channels_[c], chanFlitSink_[c], chanCreditSink_[c]);
+}
+
+void
+Network::resyncWheel()
+{
+    std::fill(queued_.begin(), queued_.end(), 0);
+    std::fill(wheel_.begin(), wheel_.end(), 0);
+    std::fill(srcPending_.begin(), srcPending_.end(), 0);
+    for (std::size_t r = 0; r < routers_.size(); ++r)
+        if (routers_[r]->bufferedFlits() > 0)
+            queued_[r >> 6] |= std::uint64_t{1} << (r & 63);
+    for (std::size_t node = 0; node < sourceQueues_.size(); ++node)
+        if (!sourceQueues_[node].empty())
+            srcPending_[node >> 6] |= std::uint64_t{1} << (node & 63);
+    wakeAllFronts();
+    wheelValid_ = true;
 }
 
 void
@@ -270,20 +331,125 @@ Network::step()
         routing_->attachState(*this);
         stateAttached_ = true;
     }
-    if (faultsArmed_)
+    if (faultsArmed_) {
+        // A fired event purges buffers, filters source queues and
+        // pushes reclaim credits at fresh arrival times.
+        std::size_t before = faultCursor_;
         applyPendingFaults();
+        if (faultCursor_ != before)
+            wheelValid_ = false;
+    }
+    if (!wheelValid_)
+        resyncWheel();
     pumpInjection();
-    buildWorklist();
-    for (int r : activeScratch_)
+
+    std::uint64_t *due = wheel_.data() + wheelSlot(now_);
+    for (std::size_t w = 0; w < visit_.size(); ++w) {
+        visit_[w] = queued_[w] | due[w];
+        due[w] = 0;
+    }
+
+    lastVisited_ = 0;
+    forEachBit(visit_, [this](int r) {
         routers_[static_cast<std::size_t>(r)]->collectArrivals(now_);
-    for (int r : activeScratch_)
-        routers_[static_cast<std::size_t>(r)]->step(now_);
+        ++lastVisited_;
+    });
+    forEachBit(visit_, [this](int r) {
+        Router &rt = *routers_[static_cast<std::size_t>(r)];
+        if (rt.bufferedFlits() > 0)
+            rt.step(now_);
+    });
     deliveredScratch_.clear();
-    for (int r : activeScratch_)
+    forEachBit(visit_, [this](int r) {
         routers_[static_cast<std::size_t>(r)]->drainEjection(
             now_, deliveredScratch_);
+    });
     processDelivered();
+
+    // Refresh the queued bits of every visited router and wake each
+    // incident channel's sink at its front's exact arrival. Every
+    // channel push or pop this cycle came from a visited router, and
+    // any older front was scheduled when it became the front, so this
+    // keeps the invariant: each in-flight front has a wake parked at
+    // exactly its arrival cycle. Waking is idempotent, so once most
+    // routers ran, one pass over every channel is cheaper than
+    // visiting each channel from both of its endpoints.
+    forEachBit(visit_, [this](int r) {
+        std::uint64_t rbit = std::uint64_t{1} << (r & 63);
+        std::uint64_t &q = queued_[static_cast<std::size_t>(r >> 6)];
+        if (routers_[static_cast<std::size_t>(r)]->bufferedFlits() > 0)
+            q |= rbit;
+        else
+            q &= ~rbit;
+    });
+    if (2 * lastVisited_ >= routers_.size()) {
+        wakeAllFronts();
+    } else {
+        forEachBit(visit_, [this](int r) {
+            routers_[static_cast<std::size_t>(r)]->forEachChannel(
+                [this](const FlitChannel &ch, int flitSink,
+                       int creditSink) {
+                    wakeFronts(ch, flitSink, creditSink);
+                });
+        });
+    }
     ++now_;
+}
+
+bool
+Network::auditWheel(std::string &err) const
+{
+    std::ostringstream oss;
+    auto bitSet = [](const std::uint64_t *bits, std::size_t i) {
+        return ((bits[i >> 6] >> (i & 63)) & 1) != 0;
+    };
+    for (std::size_t r = 0; r < routers_.size(); ++r) {
+        bool has = routers_[r]->bufferedFlits() > 0;
+        if (bitSet(queued_.data(), r) != has) {
+            oss << "wheel: router " << r << " queued bit "
+                << !has << " but buffered flits "
+                << routers_[r]->bufferedFlits();
+            err = oss.str();
+            return false;
+        }
+    }
+    for (std::size_t node = 0; node < sourceQueues_.size(); ++node) {
+        bool nonEmpty = !sourceQueues_[node].empty();
+        if (bitSet(srcPending_.data(), node) != nonEmpty) {
+            oss << "wheel: node " << node << " pending bit "
+                << !nonEmpty << " but source queue depth "
+                << sourceQueues_[node].size();
+            err = oss.str();
+            return false;
+        }
+    }
+    // At a cycle boundary now_ is the next cycle to run, so every
+    // in-flight front lands at or after it and must have its sink's
+    // bit in exactly the slot of its arrival cycle.
+    auto lostWake = [&](std::size_t c, const char *what, Cycle at,
+                        int sink) {
+        Cycle eff = std::max(at, now_);
+        if (eff - now_ <= wheelMask_ &&
+            bitSet(wheel_.data() + wheelSlot(eff),
+                   static_cast<std::size_t>(sink)))
+            return false;
+        oss << "wheel: channel " << c << " in-flight " << what
+            << " arriving at cycle " << at << " has no wake for router "
+            << sink;
+        err = oss.str();
+        return true;
+    };
+    for (std::size_t c = 0; c < channels_.size(); ++c) {
+        const FlitChannel &ch = *channels_[c];
+        if (ch.flitsInFlight() > 0 &&
+            lostWake(c, "flit", ch.frontFlitArrival(), chanFlitSink_[c]))
+            return false;
+        if (ch.creditsInFlight() > 0 &&
+            lostWake(c, "credit", ch.frontCreditArrival(),
+                     chanCreditSink_[c]))
+            return false;
+    }
+    return true;
 }
 
 void

@@ -12,10 +12,31 @@
  * Hot-path contract: packets live in an index-based PacketPool arena
  * owned by the Network (flits carry handles, not refcounts), all
  * queues are pre-reserved ring buffers, and step() visits only the
- * active-router worklist — routers with buffered flits, in-flight
- * channel traffic, or fresh injections. Steady-state step() performs
+ * routers that can do work this cycle. Steady-state step() performs
  * zero heap allocations (enforced by tests/sim/
  * hotpath_equivalence_test.cc).
+ *
+ * The visit set comes from an arrival-exact wake wheel instead of a
+ * per-cycle scan of every router and channel:
+ *
+ *  - a `queued` router bitset (router has buffered flits), set by the
+ *    injection pump and refreshed after each visit;
+ *  - a power-of-two wheel of router bitsets indexed by arrival cycle:
+ *    after each visit the router's incident channels are rescanned
+ *    and each channel's sink is woken at the exact cycle its oldest
+ *    in-flight flit or credit lands (a flit merely *in flight* on a
+ *    multi-cycle link wakes nobody);
+ *  - a pending-source node bitset, set by offerPacket, so the pump
+ *    touches only nodes with queued packets.
+ *
+ * A cycle visits `queued | wake-due` in ascending router order and
+ * runs the same collect / step / drain phases over it as a visit of
+ * every router would. Visits outside that set are provable no-ops
+ * (collect pops only arrived traffic, the allocators act only on
+ * buffered flits, round-robin pointers derive from `now`), so the
+ * wheel changes no result bit. A fault event rebuilds all three
+ * pieces from scratch, as does the first step() after a
+ * ShardedNetwork (which keeps its own scan) detaches.
  */
 
 #ifndef SNOC_SIM_NETWORK_HH
@@ -36,7 +57,6 @@
 
 namespace snoc {
 
-class BatchedNetwork;
 class ShardedNetwork;
 
 /** Wire / SMART configuration. */
@@ -84,21 +104,6 @@ class Network : public NetworkState
             const LinkConfig &link = {},
             RoutingMode mode = RoutingMode::Minimal,
             std::uint64_t seed = 7, const FaultPlan &faults = {});
-
-    /**
-     * Shared-structure constructor: the topology (and optionally the
-     * fault-free ShortestPaths table) is shared read-only instead of
-     * copied, so N same-topology instances — TopologyCache users and
-     * BatchedNetwork lanes — pay for one copy total. Behavior is
-     * bit-identical to the copying constructor; a fault event that
-     * rewrites paths replaces this instance's pointer only
-     * (copy-on-write), leaving the shared table untouched.
-     */
-    Network(std::shared_ptr<const NocTopology> topo,
-            const RouterConfig &router, const LinkConfig &link = {},
-            RoutingMode mode = RoutingMode::Minimal,
-            std::uint64_t seed = 7, const FaultPlan &faults = {},
-            std::shared_ptr<const ShortestPaths> sharedPaths = nullptr);
 
     const NocTopology &topology() const { return *topo_; }
     Cycle now() const { return now_; }
@@ -158,8 +163,8 @@ class Network : public NetworkState
     /** Packets waiting in source queues. */
     std::uint64_t sourceQueueDepth() const;
 
-    /** Routers visited by the last step() (worklist diagnostics). */
-    std::size_t lastActiveRouters() const { return activeScratch_.size(); }
+    /** Routers visited by the last step() (wake-set diagnostics). */
+    std::size_t lastActiveRouters() const { return lastVisited_; }
 
     // --- fault injection (see src/sim/fault_injection.cc) ---
 
@@ -189,9 +194,13 @@ class Network : public NetworkState
      * Exhaustive structural audit for the test suite's invariant
      * layer (tests/support/sim_invariants.hh): per-VC credit
      * conservation across every channel, buffered-flit recounts,
-     * central-buffer occupancy/reservation consistency. Returns
-     * false and fills `err` on the first violation. Not a hot-path
-     * facility — it walks the whole network.
+     * central-buffer occupancy/reservation consistency, and — while
+     * step() drives the network — the wake wheel: queued bits match
+     * buffered flits, pending-source bits match non-empty source
+     * queues, and every in-flight channel front has a wake parked at
+     * its arrival cycle for its sink. Returns false and fills `err`
+     * on the first violation. Not a hot-path facility — it walks the
+     * whole network.
      */
     bool auditInvariants(std::string &err) const;
 
@@ -235,10 +244,6 @@ class Network : public NetworkState
     int pathOccupancy(int srcRouter, int dstRouter) const override;
 
   private:
-    // BatchedNetwork drives lanes through the same per-cycle phases
-    // as step(), via a leaner visit schedule; it needs the same
-    // internal access the Network itself has.
-    friend class BatchedNetwork;
     // ShardedNetwork (src/sim/shard.hh) runs the same phases on
     // partition-owned router subsets across threads, with barriers
     // between phases; it drives pumpNode/collectArrivals/step/drain
@@ -266,11 +271,6 @@ class Network : public NetworkState
     Cycle now_ = 0;
     bool stateAttached_ = false;
     std::uint64_t nextPacketId_ = 1;
-    // Set when this Network is a lane of a BatchedNetwork: offers are
-    // reported so the batch sweep can pump only nodes with queued
-    // packets. Null (one predicted-not-taken branch) when unbatched.
-    BatchedNetwork *batchObs_ = nullptr;
-    int batchLane_ = 0;
     // Heap-allocated so routers' pointers stay valid if the Network
     // is moved (factories return Network by value).
     std::unique_ptr<PacketPool> pool_ = std::make_unique<PacketPool>();
@@ -282,8 +282,18 @@ class Network : public NetworkState
     std::uint64_t winFlits_ = 0;
 
     std::vector<PacketHandle> deliveredScratch_;
-    std::vector<std::uint8_t> routerActive_; //!< per-router wake flag
-    std::vector<int> activeScratch_; //!< this cycle's router worklist
+
+    // --- wake wheel (see the file comment) ---
+    // Valid only while step() drives the network; false forces a
+    // from-scratch resync at the top of the next step().
+    bool wheelValid_ = false;
+    int routerWords_ = 0;   //!< 64-bit words per router bitset
+    Cycle wheelMask_ = 0;   //!< wheel slots - 1 (slots: power of two)
+    std::vector<std::uint64_t> queued_;     //!< router has flits
+    std::vector<std::uint64_t> visit_;      //!< this cycle's visits
+    std::vector<std::uint64_t> wheel_;      //!< [slot][router word]
+    std::vector<std::uint64_t> srcPending_; //!< node queue non-empty
+    std::size_t lastVisited_ = 0;
 
     // --- fault state (inert unless faultsArmed_) ---
     bool faultsArmed_ = false;
@@ -297,15 +307,24 @@ class Network : public NetworkState
         chanIndexByPtr_; //!< purge: router port -> channel index
 
     void build(std::uint64_t seed, RoutingMode mode,
-               const FaultPlan &faults,
-               std::shared_ptr<const ShortestPaths> sharedPaths = nullptr);
+               const FaultPlan &faults);
+    void buildWheel(int maxLatency);
     void pumpInjection();
     // Injection counters go through the parameter so sharded callers
     // can direct them into per-shard counters (serial callers pass
     // *counters_).
     int pumpNode(int node, SimCounters &counters);
     void processDelivered();
-    void buildWorklist();
+    /** Offset of the wheel slot holding wakes for cycle `at`. */
+    std::size_t wheelSlot(Cycle at) const;
+    void scheduleWake(int router, Cycle at);
+    /** Wake a channel's sinks at its in-flight fronts' arrivals. */
+    void wakeFronts(const FlitChannel &ch, int flitSink, int creditSink);
+    void wakeAllFronts();
+    /** Rebuild queued bits, pending-source bits and every wake from
+     *  the current buffers, queues and channel fronts. */
+    void resyncWheel();
+    bool auditWheel(std::string &err) const;
     int linkLatencyFor(int distance) const;
 
     // Fault machinery (src/sim/fault_injection.cc).

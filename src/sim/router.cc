@@ -178,40 +178,6 @@ Router::collectArrivals(Cycle now)
 {
     for (std::size_t p = 0; p < inputs_.size(); ++p) {
         InputPort &ip = inputs_[p];
-        if (!ip.in)
-            continue;
-        flitScratch_.clear();
-        ip.in->popArrivedFlits(now, flitScratch_);
-        for (const Flit &flit : flitScratch_) {
-            InputVc &vc = ip.vcs[static_cast<std::size_t>(flit.vc)];
-            SNOC_ASSERT(static_cast<int>(vc.buffer.size()) <
-                            vc.capacity,
-                        "credit protocol violated: input VC overflow "
-                        "at router ", id_);
-            vc.buffer.push_back(flit);
-            markVcOccupied(ip, flit.vc);
-            ++bufferedFlits_;
-            ++counters_->bufferWrites;
-        }
-    }
-    for (std::size_t p = 0; p < outputs_.size(); ++p) {
-        OutputPort &op = outputs_[p];
-        if (!op.out)
-            continue;
-        creditScratch_.clear();
-        op.out->popArrivedCredits(now, creditScratch_);
-        occToward_[static_cast<std::size_t>(op.neighbor)] -=
-            static_cast<int>(creditScratch_.size());
-        for (int vc : creditScratch_)
-            ++op.vcs[static_cast<std::size_t>(vc)].credits;
-    }
-}
-
-void
-Router::collectArrivalsLean(Cycle now)
-{
-    for (std::size_t p = 0; p < inputs_.size(); ++p) {
-        InputPort &ip = inputs_[p];
         if (!ip.in || !ip.in->hasArrivedFlits(now))
             continue;
         flitScratch_.clear();

@@ -110,17 +110,9 @@ class Router
     /** Enqueue one flit of a packet being injected. @pre space. */
     void injectFlit(int localIndex, Flit flit);
 
-    /** Phase 1: absorb arriving flits and credits. */
+    /** Phase 1: absorb arriving flits and credits (a port with
+     *  nothing arrived costs one ring-front check). */
     void collectArrivals(Cycle now);
-
-    /**
-     * Phase 1, lean variant: identical effect to collectArrivals()
-     * — same flits/credits absorbed in the same order with the same
-     * counter updates — but prechecks each channel's ring front so
-     * ports with nothing arrived cost one branch instead of two
-     * drain calls. Used by the batched sweep.
-     */
-    void collectArrivalsLean(Cycle now);
 
     /** Phase 2: route, manage the CB, allocate the switch, send. */
     void step(Cycle now);
@@ -150,16 +142,29 @@ class Router
     /** Neighbor of a network port. */
     int portNeighbor(int port) const;
 
+    /**
+     * Call fn(channel, flitSink, creditSink) for every network
+     * channel this router touches: each input channel (this router
+     * sinks its flits, the neighbor its credits) and each output
+     * channel (the reverse).
+     */
+    template <typename Fn>
+    void
+    forEachChannel(Fn &&fn) const
+    {
+        for (std::size_t p = 0;
+             p < static_cast<std::size_t>(numNetPorts_); ++p) {
+            fn(*inputs_[p].in, id_, inputs_[p].neighbor);
+            fn(*outputs_[p].out, outputs_[p].neighbor, id_);
+        }
+    }
+
   private:
     // The Network implements the rare-path fault purge and the test
     // suite's invariant audit directly over router internals (see
     // src/sim/fault_injection.cc); the two are coupled by
     // construction anyway (the Network wires every port).
     friend class Network;
-    // The batched sweep (src/sim/batch.cc) drives the same phases
-    // through an arrival-exact wake calendar and needs the port
-    // tables to schedule wakes from channel fronts.
-    friend class BatchedNetwork;
     // The sharded loop (src/sim/shard.cc) repoints counters_ at
     // per-shard counters so worker threads never share a counter
     // cache line; everything else it drives is public phase API.

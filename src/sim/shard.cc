@@ -25,9 +25,9 @@ ShardedNetwork::ShardedNetwork(Network &net, int numShards)
                         topo.routerOfNode(node))])]
             .nodes.push_back(node);
 
-    // Split the serial buildWorklist channel scan by wake target:
-    // the shard owning a channel's flit sink checks its flits, the
-    // shard owning its credit sink checks its credits.
+    // Split the channel scan by wake target: the shard owning a
+    // channel's flit sink checks its flits, the shard owning its
+    // credit sink checks its credits.
     for (std::size_t c = 0; c < net_.channels_.size(); ++c) {
         shards_[static_cast<std::size_t>(
                     part_.shardOf[static_cast<std::size_t>(
@@ -40,12 +40,16 @@ ShardedNetwork::ShardedNetwork(Network &net, int numShards)
     }
 
     for (auto &sh : shards_) {
+        sh.awake.assign(net_.routers_.size(), 0);
         sh.active.reserve(sh.routers.size());
         sh.segments.reserve(sh.routers.size());
         sh.delivered.reserve(static_cast<std::size_t>(topo.numNodes()));
     }
     segCursor_.resize(static_cast<std::size_t>(s));
     flitCursor_.resize(static_cast<std::size_t>(s));
+
+    // Sharded steps bypass the Network's wake wheel.
+    net_.wheelValid_ = false;
 
     // Point each router's counters at its shard so the parallel
     // phases never write a shared counter; the epilogue folds them.
@@ -135,26 +139,26 @@ ShardedNetwork::phaseA(int shard)
     Shard &sh = shards_[static_cast<std::size_t>(shard)];
     for (int node : sh.nodes)
         n.pumpNode(node, sh.counters);
-    // Worklist over owned routers only; routerActive_ bytes of other
-    // shards are distinct memory locations, channel reads are
-    // quiescent between phases.
+    // Worklist over owned routers only: a router runs iff it has
+    // buffered flits or traffic parked on a channel it sinks. Channel
+    // reads are quiescent between phases.
     for (int r : sh.routers)
-        n.routerActive_[static_cast<std::size_t>(r)] =
+        sh.awake[static_cast<std::size_t>(r)] =
             n.routers_[static_cast<std::size_t>(r)]->bufferedFlits() >
             0;
     for (int c : sh.flitWake)
         if (n.channels_[static_cast<std::size_t>(c)]->flitsInFlight() >
             0)
-            n.routerActive_[static_cast<std::size_t>(
+            sh.awake[static_cast<std::size_t>(
                 n.chanFlitSink_[static_cast<std::size_t>(c)])] = 1;
     for (int c : sh.creditWake)
         if (n.channels_[static_cast<std::size_t>(c)]
                 ->creditsInFlight() > 0)
-            n.routerActive_[static_cast<std::size_t>(
+            sh.awake[static_cast<std::size_t>(
                 n.chanCreditSink_[static_cast<std::size_t>(c)])] = 1;
     sh.active.clear();
     for (int r : sh.routers)
-        if (n.routerActive_[static_cast<std::size_t>(r)])
+        if (sh.awake[static_cast<std::size_t>(r)])
             sh.active.push_back(r);
 }
 

@@ -43,10 +43,11 @@
  *    counters every epilogue, so counters() is exact at every
  *    boundary.
  *
- * Shard-vs-batch rule of thumb: BatchedNetwork (sim/batch.hh)
- * parallelizes *many small* same-topology scenarios on one thread;
- * ShardedNetwork parallelizes *one big* topology across threads.
- * They do not compose — the experiment runner picks at most one.
+ * Each shard builds its worklist by scanning its owned routers and
+ * the channels that wake them, not through Network's wake wheel
+ * (whose single-writer bookkeeping would need a per-shard split).
+ * Attaching marks the wheel stale, so the first serial step() after
+ * detach rebuilds it from scratch.
  */
 
 #ifndef SNOC_SIM_SHARD_HH
@@ -148,11 +149,11 @@ class ShardedNetwork
     {
         std::vector<int> routers; //!< owned routers, ascending id
         std::vector<int> nodes;   //!< nodes on owned routers
-        // Channels whose flit (resp. credit) arrivals wake one of
-        // our routers — the shard-local split of the serial
-        // buildWorklist channel scan.
+        // Channels whose flit (resp. credit) traffic wakes one of
+        // our routers.
         std::vector<int> flitWake;
         std::vector<int> creditWake;
+        std::vector<std::uint8_t> awake; //!< per-router wake flag
         std::vector<int> active;  //!< this cycle's own worklist
         SimCounters counters;     //!< folded+reset every epilogue
         /** One drained router's slice of `delivered`. */

@@ -57,8 +57,8 @@ SimResult runSimulation(Network &net, const TrafficSource &source,
                         const SimConfig &cfg);
 
 /**
- * Closed-loop stability override, shared by all three run drivers
- * (serial, batched, sharded) so `stable` is mode-invariant. Open-loop
+ * Closed-loop stability override, shared by both run drivers
+ * (serial, sharded) so `stable` is mode-invariant. Open-loop
  * instability shows up as source backlog; a closed-loop source never
  * grows backlog — it stalls instead. When the measurement window
  * recorded closed-loop activity, redefine stability as "less than

@@ -44,9 +44,7 @@ class TopologyCache
 
     /**
      * Shared-ownership handle on a cached topology, for consumers
-     * that outlive clear() or share the instance across Network
-     * lanes without copying (Network's shared-structure constructor,
-     * BatchedNetwork). Builds on first use like get().
+     * that must outlive clear(). Builds on first use like get().
      */
     std::shared_ptr<const NocTopology> getShared(const std::string &id);
 

@@ -101,6 +101,33 @@ TEST(Cli, ListKnobsCoversTheRegistry)
                   std::string::npos);
 }
 
+TEST(Cli, UndeclaredKnobWarnsOnStderrOnly)
+{
+    std::string cleanOut, cleanErr;
+    ASSERT_EQ(cli({"list", "knobs"}, &cleanOut, &cleanErr), 0);
+    EXPECT_EQ(cleanErr.find("warning"), std::string::npos);
+
+    // An undeclared knob and a misspelled one: each gets exactly one
+    // warning line, and stdout stays byte-identical.
+    ::setenv("SNOC_RETIRED_KNOB", "8", 1);
+    ::setenv("SNOC_EXP_THREAD", "2", 1);
+    std::string out, err;
+    int rc = cli({"list", "knobs"}, &out, &err);
+    ::unsetenv("SNOC_RETIRED_KNOB");
+    ::unsetenv("SNOC_EXP_THREAD");
+    ASSERT_EQ(rc, 0);
+    EXPECT_EQ(out, cleanOut);
+    std::vector<std::string> warnings = lines(err);
+    ASSERT_EQ(warnings.size(), 2u) << err;
+    EXPECT_NE(warnings[0].find("warning: SNOC_EXP_THREAD "),
+              std::string::npos)
+        << warnings[0];
+    EXPECT_NE(warnings[1].find("warning: SNOC_RETIRED_KNOB "),
+              std::string::npos)
+        << warnings[1];
+    EXPECT_EQ(undeclaredEnvKnobs(), std::vector<std::string>{});
+}
+
 TEST(Cli, UsageAndErrors)
 {
     std::string out, err;

@@ -32,12 +32,12 @@ TEST(Env, RegistryDeclaresEveryKnob)
     EXPECT_EQ(names,
               (std::vector<std::string>{
                   "SNOC_BENCH_FAST", "SNOC_BENCH_FORMAT",
-                  "SNOC_BENCH_OUT", "SNOC_EXP_BATCH",
-                  "SNOC_EXP_ISOLATE", "SNOC_EXP_JOB_TIMEOUT",
-                  "SNOC_EXP_RETRIES", "SNOC_EXP_TEST_HOOK",
-                  "SNOC_EXP_THREADS", "SNOC_FUZZ_ITERS",
-                  "SNOC_FUZZ_SEED", "SNOC_PLAN_DIR",
-                  "SNOC_RESULT_STORE", "SNOC_SIM_SHARDS"}));
+                  "SNOC_BENCH_OUT", "SNOC_EXP_ISOLATE",
+                  "SNOC_EXP_JOB_TIMEOUT", "SNOC_EXP_RETRIES",
+                  "SNOC_EXP_TEST_HOOK", "SNOC_EXP_THREADS",
+                  "SNOC_FUZZ_ITERS", "SNOC_FUZZ_SEED",
+                  "SNOC_PLAN_DIR", "SNOC_RESULT_STORE",
+                  "SNOC_SIM_SHARDS"}));
     for (const EnvKnob &k : envKnobs()) {
         EXPECT_STRNE(k.fallback, "");
         EXPECT_STRNE(k.values, "");

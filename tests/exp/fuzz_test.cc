@@ -5,8 +5,8 @@
  *
  *  1. serial-vs-parallel ExperimentRunner execution must be bitwise
  *     identical (the engine's core determinism guarantee, now under
- *     mid-run fault injection too), and so must the batched-lane and
- *     space-sharded (simShards 2/4) execution modes;
+ *     mid-run fault injection too), and so must the space-sharded
+ *     (simShards 2/4) execution mode;
  *  2. a direct run of every sampled scenario must satisfy the full
  *     invariant layer (flit/packet conservation, credit accounting,
  *     exactly-once delivery) at mid-run checkpoints and after drain.
@@ -209,24 +209,14 @@ TEST(ScenarioFuzz, SerialParallelEquivalenceAndInvariants)
                         scenarios[i])) == scenarios[i]);
     }
 
-    // 1. Engine determinism: the whole batch, 1 worker vs 4, with
-    //    batched co-simulation disabled (the pure sequential
-    //    reference), then the batched planner against that reference
-    //    — random scenario mixes exercise group/chunk composition
-    //    (shared topologies land in shared BatchedNetworks, workload
-    //    and saturation jobs fall back).
+    // 1. Engine determinism: the whole sample, 1 worker vs 4.
     ExperimentPlan plan;
     for (const Scenario &s : scenarios)
         plan.add(s);
     RunnerOptions serialOpts;
     serialOpts.threads = 1;
-    serialOpts.batchLanes = 0;
     RunnerOptions parallelOpts;
     parallelOpts.threads = 4;
-    parallelOpts.batchLanes = 0;
-    RunnerOptions batchedOpts;
-    batchedOpts.threads = 2;
-    batchedOpts.batchLanes = 4;
     // Shard-count axis: the same plan stepped by the space-sharded
     // cycle loop (sim/shard.hh) at 2 and 4 shards — every fuzzed
     // topology x routing x fault plan must be bitwise identical to
@@ -234,25 +224,20 @@ TEST(ScenarioFuzz, SerialParallelEquivalenceAndInvariants)
     // the runner, so they cross-check trivially).
     RunnerOptions sharded2Opts;
     sharded2Opts.threads = 1;
-    sharded2Opts.batchLanes = 0;
     sharded2Opts.simShards = 2;
     RunnerOptions sharded4Opts;
     sharded4Opts.threads = 2;
-    sharded4Opts.batchLanes = 0;
     sharded4Opts.simShards = 4;
     std::vector<JobResult> serial =
         ExperimentRunner(serialOpts).run(plan);
     std::vector<JobResult> parallel =
         ExperimentRunner(parallelOpts).run(plan);
-    std::vector<JobResult> batched =
-        ExperimentRunner(batchedOpts).run(plan);
     std::vector<JobResult> sharded2 =
         ExperimentRunner(sharded2Opts).run(plan);
     std::vector<JobResult> sharded4 =
         ExperimentRunner(sharded4Opts).run(plan);
     ASSERT_EQ(serial.size(), scenarios.size());
     ASSERT_EQ(parallel.size(), scenarios.size());
-    ASSERT_EQ(batched.size(), scenarios.size());
     ASSERT_EQ(sharded2.size(), scenarios.size());
     ASSERT_EQ(sharded4.size(), scenarios.size());
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
@@ -262,8 +247,6 @@ TEST(ScenarioFuzz, SerialParallelEquivalenceAndInvariants)
                      describeFully(scenarios[i]));
         expectBitwiseEqual(serial[i].points[0].sim,
                            parallel[i].points[0].sim);
-        expectBitwiseEqual(serial[i].points[0].sim,
-                           batched[i].points[0].sim);
         expectBitwiseEqual(serial[i].points[0].sim,
                            sharded2[i].points[0].sim);
         expectBitwiseEqual(serial[i].points[0].sim,
@@ -394,7 +377,6 @@ TEST(ScenarioFuzz, ResumeFromRandomKillPointsIsBitwiseIdentical)
 
     RunnerOptions serialOpts;
     serialOpts.threads = 1;
-    serialOpts.batchLanes = 0;
     std::vector<JobResult> reference =
         ExperimentRunner(serialOpts).run(plan);
 

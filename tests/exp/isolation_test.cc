@@ -51,7 +51,6 @@ isolatedOpts()
 {
     RunnerOptions opts;
     opts.threads = 1;
-    opts.batchLanes = 0;
     opts.isolate = 1;
     opts.onFailure = FailurePolicy::Record;
     return opts;
@@ -65,7 +64,6 @@ TEST(Isolation, ForkedResultsAreBitwiseIdenticalToInProcess)
 
     RunnerOptions inProc;
     inProc.threads = 1;
-    inProc.batchLanes = 0;
     std::vector<JobResult> a = ExperimentRunner(inProc).run(plan);
 
     RunnerOptions forked = inProc;
@@ -142,16 +140,14 @@ TEST(Isolation, WatchdogKillsHungJobs)
     EXPECT_EQ(results[1].status, JobStatus::Ok);
 }
 
-TEST(Isolation, TimeoutImpliesForkAndForkDisablesBatching)
+TEST(Isolation, TimeoutImpliesFork)
 {
     RunnerOptions opts;
     opts.threads = 1;
     opts.jobTimeoutMs = 250;
-    opts.batchLanes = 8;
     ExperimentRunner r(opts);
     EXPECT_TRUE(r.isolated());
     EXPECT_EQ(r.jobTimeoutMs(), 250);
-    EXPECT_EQ(r.batchLaneCount(), 0);
 }
 
 TEST(Isolation, RetriesAreBoundedAndCounted)
@@ -192,7 +188,6 @@ TEST(Isolation, RecordPolicyWorksInProcessToo)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.batchLanes = 0;
     opts.onFailure = FailurePolicy::Record;
     std::vector<JobResult> results =
         ExperimentRunner(opts).run(plan);
@@ -213,7 +208,6 @@ TEST(Isolation, FailedSweepKeepsItsCompletedPrefix)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.batchLanes = 0;
     opts.onFailure = FailurePolicy::Record;
     std::vector<JobResult> results =
         ExperimentRunner(opts).run(plan);
@@ -232,7 +226,6 @@ TEST(Isolation, NonStoppingSweepContinuesPastFailures)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.batchLanes = 0;
     opts.onFailure = FailurePolicy::Record;
     std::vector<JobResult> results =
         ExperimentRunner(opts).run(plan);

@@ -63,7 +63,6 @@ TEST(ResultJournal, RoundTripsJobResultsExactly)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.batchLanes = 0;
     std::vector<JobResult> fresh = ExperimentRunner(opts).run(plan);
 
     {
@@ -102,7 +101,6 @@ TEST(ResultJournal, TornTailIsDroppedNotFatal)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.batchLanes = 0;
     std::vector<JobResult> fresh = ExperimentRunner(opts).run(plan);
     {
         ResultJournal journal(file.path, hash);
@@ -156,7 +154,6 @@ TEST(ResultJournal, DuplicateEntriesKeepTheLastOccurrence)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.batchLanes = 0;
     std::vector<JobResult> fresh = ExperimentRunner(opts).run(plan);
     {
         ResultJournal journal(file.path, hash);

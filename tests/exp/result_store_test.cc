@@ -102,7 +102,6 @@ TEST(ResultStore, RunnerServesCachedPointsIdentically)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.batchLanes = 0;
     opts.store = &store;
 
     std::vector<JobResult> cold = ExperimentRunner(opts).run(plan);
@@ -122,28 +121,6 @@ TEST(ResultStore, RunnerServesCachedPointsIdentically)
         EXPECT_EQ(warm[i].cacheHits,
                   static_cast<int>(warm[i].points.size()));
     }
-}
-
-TEST(ResultStore, BatchedRunnerUsesTheStoreToo)
-{
-    TempDir dir("batched");
-    ResultStore store(dir.path);
-
-    ExperimentPlan plan;
-    plan.addSweep(tinyScenario(), {0.02, 0.04, 0.06}, false);
-
-    RunnerOptions opts;
-    opts.threads = 1;
-    opts.batchLanes = 4; // force the lane-batched path
-    opts.store = &store;
-
-    std::vector<JobResult> cold = ExperimentRunner(opts).run(plan);
-    ASSERT_EQ(cold[0].cacheMisses, 3);
-    std::vector<JobResult> warm = ExperimentRunner(opts).run(plan);
-    EXPECT_EQ(warm[0].cacheHits, 3);
-    EXPECT_EQ(warm[0].cacheMisses, 0);
-    for (std::size_t p = 0; p < 3; ++p)
-        EXPECT_TRUE(cold[0].points[p].sim == warm[0].points[p].sim);
 }
 
 TEST(ResultStore, StaleStampIsAMissAndPruneEvictsIt)

@@ -172,67 +172,10 @@ TEST(ExperimentRunner, JobErrorsPropagateFromWorkers)
     EXPECT_THROW(ExperimentRunner(opts).run(plan), FatalError);
 }
 
-TEST(ExperimentRunner, BatchedPlannerMatchesUnbatchedBitwise)
-{
-    // A mixed plan: four Singles sharing two topologies (grouped into
-    // BatchedNetwork lanes), a non-stopping sweep (batchable
-    // per-load), a saturation-stopping sweep and a saturation search
-    // (both fall back to the sequential path).
-    ExperimentPlan plan = mixedSyntheticPlan();
-    Scenario base = makeSyntheticScenario(
-        "t2d4", "EB-Var", PatternKind::Random, 0.0, 1,
-        RoutingMode::Minimal, quickSim());
-    plan.addSweep(base, {0.05, 0.1, 0.15}, false);
-    plan.addSweep(base, {0.05, 0.1}, true);
-    SaturationSpec spec;
-    spec.tolerance = 0.1;
-    spec.maxProbes = 4;
-    plan.addSaturation(base, spec);
-
-    RunnerOptions off;
-    off.threads = 1;
-    off.batchLanes = 0;
-    RunnerOptions on;
-    on.threads = 2;
-    on.batchLanes = 4;
-    EXPECT_EQ(ExperimentRunner(off).batchLaneCount(), 0);
-    EXPECT_EQ(ExperimentRunner(on).batchLaneCount(), 4);
-
-    std::vector<JobResult> plain = ExperimentRunner(off).run(plan);
-    std::vector<JobResult> batched = ExperimentRunner(on).run(plan);
-    ASSERT_EQ(plain.size(), batched.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-        EXPECT_EQ(plain[i].kind, batched[i].kind);
-        ASSERT_EQ(plain[i].points.size(), batched[i].points.size())
-            << "job " << i;
-        EXPECT_EQ(plain[i].saturationLoad, batched[i].saturationLoad);
-        EXPECT_EQ(plain[i].bestThroughput, batched[i].bestThroughput);
-        for (std::size_t p = 0; p < plain[i].points.size(); ++p) {
-            EXPECT_TRUE(plain[i].points[p].scenario ==
-                        batched[i].points[p].scenario)
-                << "job " << i << " point " << p;
-            expectIdentical(plain[i].points[p].sim,
-                            batched[i].points[p].sim);
-        }
-    }
-}
-
-TEST(ExperimentRunner, BatchedJobErrorsPropagate)
-{
-    ExperimentPlan plan = mixedSyntheticPlan();
-    Scenario bad;
-    bad.topology = "no_such_topology";
-    plan.add(bad);
-    RunnerOptions opts;
-    opts.threads = 2;
-    opts.batchLanes = 4;
-    EXPECT_THROW(ExperimentRunner(opts).run(plan), FatalError);
-}
-
 TEST(ExperimentRunner, SimShardResolutionAndEquivalence)
 {
     // Explicit option values win: off/1 keep the serial loop, >=2
-    // selects space-sharded stepping and forces lane batching off.
+    // selects space-sharded stepping.
     RunnerOptions off;
     off.simShards = 0;
     EXPECT_EQ(ExperimentRunner(off).simShardCount(), 1);
@@ -241,10 +184,7 @@ TEST(ExperimentRunner, SimShardResolutionAndEquivalence)
     EXPECT_EQ(ExperimentRunner(one).simShardCount(), 1);
     RunnerOptions four;
     four.simShards = 4;
-    four.batchLanes = 8;
-    ExperimentRunner sharded(four);
-    EXPECT_EQ(sharded.simShardCount(), 4);
-    EXPECT_EQ(sharded.batchLaneCount(), 0);
+    EXPECT_EQ(ExperimentRunner(four).simShardCount(), 4);
 
     // A full mixed plan through the sharded runner must be bitwise
     // identical to the serial reference (workload and saturation jobs
@@ -252,10 +192,8 @@ TEST(ExperimentRunner, SimShardResolutionAndEquivalence)
     ExperimentPlan plan = mixedSyntheticPlan();
     RunnerOptions serialOpts;
     serialOpts.threads = 1;
-    serialOpts.batchLanes = 0;
     RunnerOptions shardedOpts;
     shardedOpts.threads = 2;
-    shardedOpts.batchLanes = 0;
     shardedOpts.simShards = 3;
     std::vector<JobResult> plain =
         ExperimentRunner(serialOpts).run(plan);
@@ -276,7 +214,7 @@ TEST(ExperimentRunner, EnergyMetricsAreModeInvariant)
 {
     // Energy is evaluated as a pure function of (scenario, result)
     // after execution, so the attached metrics must be exactly equal
-    // across the serial, lane-batched, and space-sharded engines —
+    // across worker counts and the space-sharded engine —
     // the same guarantee the SimResults themselves carry. Scenarios
     // without an energy spec stay invalid/zero.
     ExperimentPlan plan;
@@ -295,28 +233,25 @@ TEST(ExperimentRunner, EnergyMetricsAreModeInvariant)
 
     RunnerOptions serialOpts;
     serialOpts.threads = 1;
-    serialOpts.batchLanes = 0;
     serialOpts.simShards = 1;
-    RunnerOptions batchedOpts;
-    batchedOpts.threads = 2;
-    batchedOpts.batchLanes = 4;
-    batchedOpts.simShards = 1;
+    RunnerOptions parallelOpts;
+    parallelOpts.threads = 2;
+    parallelOpts.simShards = 1;
     RunnerOptions shardedOpts;
     shardedOpts.threads = 2;
-    shardedOpts.batchLanes = 0;
     shardedOpts.simShards = 3;
 
     std::vector<JobResult> serial =
         ExperimentRunner(serialOpts).run(plan);
-    std::vector<JobResult> batched =
-        ExperimentRunner(batchedOpts).run(plan);
+    std::vector<JobResult> parallel =
+        ExperimentRunner(parallelOpts).run(plan);
     std::vector<JobResult> sharded =
         ExperimentRunner(shardedOpts).run(plan);
     ASSERT_EQ(serial.size(), plan.size());
     for (std::size_t j = 0; j < serial.size(); ++j) {
         ASSERT_EQ(serial[j].points.size(), 1u);
         const ScenarioResult &p = serial[j].points[0];
-        EXPECT_TRUE(p.energy == batched[j].points[0].energy)
+        EXPECT_TRUE(p.energy == parallel[j].points[0].energy)
             << "job " << j;
         EXPECT_TRUE(p.energy == sharded[j].points[0].energy)
             << "job " << j;
@@ -336,27 +271,6 @@ TEST(ExperimentRunner, EnergyMetricsAreModeInvariant)
             EXPECT_EQ(p.energy, EnergyMetrics{});
         }
     }
-}
-
-TEST(ExperimentRunner, BatchedProgressStillCountsJobs)
-{
-    ExperimentPlan plan = mixedSyntheticPlan();
-    Scenario base = makeSyntheticScenario(
-        "t2d4", "EB-Var", PatternKind::Random, 0.0, 1,
-        RoutingMode::Minimal, quickSim());
-    plan.addSweep(base, {0.05, 0.1}, false);
-    std::size_t calls = 0;
-    std::size_t lastTotal = 0;
-    RunnerOptions opts;
-    opts.threads = 1;
-    opts.batchLanes = 4;
-    opts.progress = [&](std::size_t, std::size_t total) {
-        ++calls;
-        lastTotal = total;
-    };
-    ExperimentRunner(opts).run(plan);
-    EXPECT_EQ(calls, plan.size());
-    EXPECT_EQ(lastTotal, plan.size());
 }
 
 TEST(ExperimentRunner, ProgressCallbackCountsJobs)

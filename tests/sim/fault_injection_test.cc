@@ -2,19 +2,22 @@
  * @file
  * Fault-injection tests: dynamic link/router failures applied
  * mid-run, degraded-operation semantics (drops, refusals, reroutes,
- * repairs), zero-fault equivalence of armed-but-empty plans, and the
- * invariant layer holding through every perturbation.
+ * repairs), zero-fault equivalence of armed-but-empty plans, the
+ * invariant layer holding through every perturbation, and the wake
+ * wheel staying exact across the fault resync.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "exp/resilience.hh"
 #include "exp/runner.hh"
 #include "sim/network.hh"
+#include "sim/shard.hh"
 #include "tests/support/sim_invariants.hh"
 #include "topo/table4.hh"
 #include "traffic/synthetic.hh"
@@ -296,6 +299,153 @@ TEST(FaultInjection, DegradationIsMonotonicInFailureFraction)
     std::uint64_t degraded = delivered(0.25);
     EXPECT_LE(degraded, base + base / 20)
         << "25% link failures should not beat the intact network";
+}
+
+// --- the wake wheel through fault events ------------------------------------
+
+/** FNV-1a over the delivery stream, folded exactly like the hotpath
+ *  goldens (tests/sim/hotpath_equivalence_test.cc). */
+struct DeliveryHash
+{
+    std::uint64_t hash = 1469598103934665603ULL;
+    std::uint64_t packets = 0;
+    // The fold as of the last delivery before `cutoff`.
+    Cycle cutoff = 0;
+    std::uint64_t prefixHash = hash;
+    std::uint64_t prefixPackets = 0;
+
+    void
+    add(const Packet &p)
+    {
+        for (std::uint64_t v :
+             {p.id, static_cast<std::uint64_t>(p.srcNode),
+              static_cast<std::uint64_t>(p.dstNode),
+              static_cast<std::uint64_t>(p.sizeFlits),
+              static_cast<std::uint64_t>(p.hops), p.createdAt,
+              p.injectedAt, p.ejectedAt})
+            for (int i = 0; i < 8; ++i) {
+                hash ^= (v >> (8 * i)) & 0xff;
+                hash *= 1099511628211ULL;
+            }
+        ++packets;
+        if (p.ejectedAt < cutoff) {
+            prefixHash = hash;
+            prefixPackets = packets;
+        }
+    }
+};
+
+/** The hotpath goldens' traffic seed for sn_54 / minimal. */
+std::uint64_t
+goldenTrafficSeed()
+{
+    std::uint64_t s = 0xabcdef12;
+    for (const char ch : std::string("sn_54"))
+        s = s * 131 + static_cast<std::uint64_t>(ch);
+    return s;
+}
+
+/**
+ * The hotpath goldens' schedule on sn_54 / minimal: 1200 cycles of
+ * two offers each from `trafficSeed`, then drain. With `shards` > 0
+ * the same run is stepped by the ShardedNetwork, whose per-cycle scan
+ * of every channel never consults the wheel; otherwise the invariant
+ * layer (wheel audit included) checks every cycle boundary.
+ */
+DeliveryHash
+runSchedule(const std::string &routerCfg, std::uint64_t trafficSeed,
+            const FaultPlan &plan, Cycle cutoff, int shards = 0)
+{
+    Network net(makeNamedTopology("sn_54"),
+                RouterConfig::named(routerCfg), LinkConfig{},
+                RoutingMode::Minimal, 7, plan);
+    SimInvariantChecker checker(net);
+    DeliveryHash dh;
+    dh.cutoff = cutoff;
+    checker.setDeliveryCallback([&dh](const Packet &p) { dh.add(p); });
+    std::unique_ptr<ShardedNetwork> sn;
+    if (shards > 0)
+        sn = std::make_unique<ShardedNetwork>(net, shards);
+    auto step = [&] {
+        if (sn) {
+            sn->step();
+        } else {
+            net.step();
+            checker.check("cycle " + std::to_string(net.now()));
+        }
+    };
+    std::uint64_t s = trafficSeed;
+    for (int c = 0; c < 1200; ++c) {
+        offerTraffic(net, s, 2);
+        step();
+    }
+    for (int c = 0;
+         c < 30000 && net.flitsInFlight() + net.sourceQueueDepth() > 0;
+         ++c)
+        step();
+    sn.reset();
+    checker.checkQuiescent("drained");
+    return dh;
+}
+
+TEST(FaultInjection, WakeWheelStaysExactThroughFaults)
+{
+    // The unfaulted replay is on the hotpath golden chain.
+    const std::uint64_t golden = goldenTrafficSeed();
+    DeliveryHash clean = runSchedule("EB-Var", golden, {}, 0);
+    ASSERT_EQ(clean.hash, 2639430157430525923ULL);
+    ASSERT_EQ(clean.packets, 2359u);
+
+    struct Case
+    {
+        const char *what;
+        const char *routerCfg;
+        std::uint64_t trafficSeed;
+        FaultPlan plan;
+        Cycle firstFault;
+        std::uint64_t hash;    //!< golden: full-scan stepping loop
+        std::uint64_t packets;
+    };
+    std::vector<Case> cases = {
+        {"link down", "EB-Var", golden, FaultPlan{}.linkDown(0, 1, 300),
+         300, 614048461250303612ULL, 2358},
+        {"5% random links", "EB-Var", golden,
+         FaultPlan::randomLinkFailures(0.05, 400, 99), 400,
+         8360255928473566613ULL, 2357},
+        {"router down + repair", "EB-Var", golden,
+         FaultPlan{}.routerDown(3, 500).routerUp(3, 900), 500,
+         14744430561650644423ULL, 2274},
+        // Here the purge returns a credit for a flit cut on the wire
+        // whose sink would otherwise never be woken for it: only the
+        // resync parks that wake.
+        {"20% random links, CBR", "CBR-6", 8641969,
+         FaultPlan::randomLinkFailures(0.2, 409, 7), 409,
+         13343304186987745538ULL, 2353},
+    };
+    for (Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        c.plan.armed = true;
+        DeliveryHash prefix =
+            runSchedule(c.routerCfg, c.trafficSeed, {}, c.firstFault);
+        DeliveryHash faulted = runSchedule(c.routerCfg, c.trafficSeed,
+                                           c.plan, c.firstFault);
+        // Until the first event fires, the faulted run is the clean
+        // one, delivery for delivery.
+        EXPECT_EQ(faulted.prefixHash, prefix.prefixHash);
+        EXPECT_EQ(faulted.prefixPackets, prefix.prefixPackets);
+        EXPECT_GT(faulted.prefixPackets, 0u);
+        // After it, the resync must keep every wake: the run matches
+        // the golden captured from the stepping loop that scanned
+        // every router and channel each cycle, and the sharded loop,
+        // which still does.
+        EXPECT_EQ(faulted.hash, c.hash);
+        EXPECT_EQ(faulted.packets, c.packets);
+        DeliveryHash scanned =
+            runSchedule(c.routerCfg, c.trafficSeed, c.plan,
+                        c.firstFault, /*shards=*/2);
+        EXPECT_EQ(scanned.hash, faulted.hash);
+        EXPECT_EQ(scanned.packets, faulted.packets);
+    }
 }
 
 TEST(FaultInjection, ScenarioCarriesFaultPlanThroughTheEngine)

@@ -2,8 +2,8 @@
  * @file
  * Closed-loop workload layer tests: window conservation under direct
  * cycle driving, request/reply accounting at quiescence, fault-purge
- * unblocking, and bitwise equivalence of the serial, batched-lane and
- * space-sharded execution modes for closed-loop scenarios.
+ * unblocking, and bitwise equivalence of the serial, multi-worker
+ * and space-sharded execution modes for closed-loop scenarios.
  */
 
 #include <gtest/gtest.h>
@@ -173,12 +173,11 @@ TEST(ClosedLoop, FaultPurgeFreesWindowSlotsInsteadOfDeadlocking)
     EXPECT_EQ(rig.cls.state->liveSlots(), 0u);
 }
 
-TEST(ClosedLoop, SerialBatchedShardedBitwiseIdentical)
+TEST(ClosedLoop, SerialParallelShardedBitwiseIdentical)
 {
-    // A window sweep makes the batched planner co-simulate the
-    // points as lanes of one BatchedNetwork; the sharded runs drive
-    // the same scenarios through the space-sharded cycle loop. All
-    // must be bitwise identical to the serial reference.
+    // A window sweep run with 1 and 2 workers, and through the
+    // space-sharded cycle loop at 2 and 4 shards: all must be
+    // bitwise identical to the serial reference.
     ClosedLoopSpec spec;
     spec.sweepAxis = ClosedLoopAxis::Window;
     spec.forwardFraction = 0.3;
@@ -191,21 +190,17 @@ TEST(ClosedLoop, SerialBatchedShardedBitwiseIdentical)
 
     RunnerOptions serialOpts;
     serialOpts.threads = 1;
-    serialOpts.batchLanes = 0;
-    RunnerOptions batchedOpts;
-    batchedOpts.threads = 2;
-    batchedOpts.batchLanes = 4;
+    RunnerOptions parallelOpts;
+    parallelOpts.threads = 2;
     RunnerOptions sharded2Opts;
     sharded2Opts.threads = 1;
-    sharded2Opts.batchLanes = 0;
     sharded2Opts.simShards = 2;
     RunnerOptions sharded4Opts;
     sharded4Opts.threads = 1;
-    sharded4Opts.batchLanes = 0;
     sharded4Opts.simShards = 4;
 
     auto serial = ExperimentRunner(serialOpts).run(plan);
-    auto batched = ExperimentRunner(batchedOpts).run(plan);
+    auto parallel = ExperimentRunner(parallelOpts).run(plan);
     auto sharded2 = ExperimentRunner(sharded2Opts).run(plan);
     auto sharded4 = ExperimentRunner(sharded4Opts).run(plan);
     ASSERT_EQ(serial.size(), 1u);
@@ -218,7 +213,7 @@ TEST(ClosedLoop, SerialBatchedShardedBitwiseIdentical)
             serial[0].points[p].scenario.traffic.closedLoop.window,
             static_cast<int>(1u << p));
         expectIdentical(serial[0].points[p].sim,
-                        batched[0].points[p].sim);
+                        parallel[0].points[p].sim);
         expectIdentical(serial[0].points[p].sim,
                         sharded2[0].points[p].sim);
         expectIdentical(serial[0].points[p].sim,
@@ -252,7 +247,6 @@ TEST(ClosedLoop, IssueProbSaturationBisectionConverges)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.batchLanes = 0;
     auto results = ExperimentRunner(opts).run(plan);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].points.empty());
